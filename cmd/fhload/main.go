@@ -76,7 +76,7 @@ func main() {
 		burstFac   = flag.Float64("burstfactor", 0, "burst: flash-crowd rate multiplier (0 = default 6)")
 		duty       = flag.Float64("duty", 0, "burst: fraction of each period at the burst rate (0 = default 0.1)")
 		schedName  = flag.String("sched", "", "scheduler name (MQB or KGreedy; empty = MQB)")
-		workers    = flag.Int("workers", 1, "client/scoring workers (never changes outcomes)")
+		workers    = flag.Int("workers", 1, "HTTP request-encoding workers (never changes outcomes)")
 		quota      = flag.Int("quota", 0, "default per-tenant admission quota (0 = unlimited)")
 		quotasSpec = flag.String("quotas", "", "per-tenant quota overrides, e.g. acme=2,blob=1")
 		nofair     = flag.Bool("nofair", false, "disable deterministic fair share")

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"fhs/internal/dag"
+	"fhs/internal/metrics"
 	"fhs/internal/obs"
 	"fhs/internal/sim"
 )
@@ -227,11 +228,11 @@ func copyRows(src [][]float64, k int) [][]float64 {
 // Between candidates only the α-queue term and the candidate's
 // descendant row change, so the queue loads and pool sizes are hoisted
 // out of the candidate loop, and the paper's lexicographic rule is
-// evaluated by sortBeats — an incremental selection sort that exits at
-// the first position deciding the comparison instead of fully sorting
-// every snapshot. The decision sequence is bit-identical to the
-// straightforward sort-then-LexLess formulation (asserted by the
-// differential test in mqb_equiv_test.go).
+// evaluated by metrics.SortBeats — an incremental selection sort that
+// exits at the first position deciding the comparison instead of
+// fully sorting every snapshot. The decision sequence is bit-identical
+// to the straightforward sort-then-LexLess formulation (asserted by
+// the differential test in mqb_equiv_test.go).
 func (m *MQB) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
 	q := st.Ready(alpha)
 	if len(q) == 0 {
@@ -248,6 +249,7 @@ func (m *MQB) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
 	}
 	best := dag.NoTask
 	var bestScore float64
+	var bestVec []float64 // m.best once a candidate holds it (BalanceLex)
 	for _, id := range q {
 		row := m.desc[id]
 		rem := float64(st.Remaining(id))
@@ -268,13 +270,10 @@ func (m *MQB) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
 		}
 		switch m.opts.Balance {
 		case BalanceLex:
-			if best == dag.NoTask {
-				selectionSort(m.cand)
+			if metrics.SortBeats(m.cand, bestVec) {
 				best = id
 				m.best, m.cand = m.cand, m.best
-			} else if sortBeats(m.cand, m.best) {
-				best = id
-				m.best, m.cand = m.cand, m.best
+				bestVec = m.best
 			}
 		case BalanceMinOnly:
 			score := m.cand[0]
@@ -321,50 +320,4 @@ func finiteScore(v float64) float64 {
 		return -math.MaxFloat64
 	}
 	return v
-}
-
-// sortBeats reports whether cand's balance vector, once sorted
-// ascending, lexicographically beats best (which is already sorted):
-// at the first differing position the larger value wins — exactly
-// metrics.LexLess(best, sorted(cand)). It selection-sorts cand in
-// place one position at a time and exits as soon as a position decides
-// the comparison, so a candidate losing on the smallest x-utilization
-// — the common case — costs one min-scan instead of a full K-sort.
-// When it returns true, cand is fully sorted and ready to adopt as the
-// new incumbent; when false, cand's tail past the deciding position is
-// unspecified (losing vectors are discarded). Equal vectors return
-// false: ties keep the earlier-ready incumbent.
-func sortBeats(cand, best []float64) bool {
-	for i := range cand {
-		min := i
-		for j := i + 1; j < len(cand); j++ {
-			if cand[j] < cand[min] {
-				min = j
-			}
-		}
-		cand[i], cand[min] = cand[min], cand[i]
-		if cand[i] != best[i] {
-			if cand[i] < best[i] {
-				return false
-			}
-			selectionSort(cand[i+1:])
-			return true
-		}
-	}
-	return false
-}
-
-// selectionSort sorts ascending in place. The balance vectors have
-// K ≤ 6 entries in every paper workload, where this beats the stdlib
-// sort's dispatch overhead on the engine's hottest loop.
-func selectionSort(v []float64) {
-	for i := range v {
-		min := i
-		for j := i + 1; j < len(v); j++ {
-			if v[j] < v[min] {
-				min = j
-			}
-		}
-		v[i], v[min] = v[min], v[i]
-	}
 }

@@ -150,49 +150,6 @@ func TestMQBPickEquivalence(t *testing.T) {
 	}
 }
 
-// TestSortBeatsMatchesLexLess: property check of the early-exit
-// comparison against the spec — sort both vectors fully, compare with
-// metrics.LexLess — over random vectors including ties, duplicates and
-// infinities.
-func TestSortBeatsMatchesLexLess(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20000; trial++ {
-		k := 1 + rng.Intn(6)
-		cand := make([]float64, k)
-		best := make([]float64, k)
-		for i := 0; i < k; i++ {
-			// Coarse values force frequent ties; occasional infinities
-			// model fully crashed pools.
-			cand[i] = float64(rng.Intn(4))
-			best[i] = float64(rng.Intn(4))
-			if rng.Intn(16) == 0 {
-				cand[i] = inf()
-			}
-			if rng.Intn(16) == 0 {
-				best[i] = inf()
-			}
-		}
-		sort.Float64s(best)
-		sorted := append([]float64(nil), cand...)
-		sort.Float64s(sorted)
-		want := metrics.LexLess(best, sorted)
-
-		got := sortBeats(cand, best)
-		if got != want {
-			t.Fatalf("sortBeats(%v, %v) = %v, want %v", sorted, best, got, want)
-		}
-		if got {
-			// Winning vectors must come out fully sorted: they become
-			// the next incumbent.
-			for i := range cand {
-				if cand[i] != sorted[i] {
-					t.Fatalf("winning cand not sorted: %v want %v", cand, sorted)
-				}
-			}
-		}
-	}
-}
-
 // TestSharedLookaheadsMatchFresh: the graph memo returns exactly what
 // a fresh computation returns, and repeated calls return the same
 // backing slices (no recompute).

@@ -139,7 +139,7 @@ func Run(j *Job, p Policy, procs []int) (Result, error) {
 					if !ok {
 						break
 					}
-					if !j.Task(id).Allowed(alpha) || !st.dequeue(id) {
+					if id < 0 || int(id) >= j.NumTasks() || !j.Task(id).Allowed(alpha) || !st.dequeue(id) {
 						return res, fmt.Errorf("flex: policy %s picked task %d which is not ready/admissible on pool %d", p.Name(), id, a)
 					}
 					w := j.Task(id).Works[alpha]

@@ -1,7 +1,9 @@
 package flex
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -265,19 +267,29 @@ func TestStallOnRefusingPolicy(t *testing.T) {
 	}
 }
 
+// TestRogueFlexPolicyRejected: a pick that is not ready and admissible
+// on the asking pool is the contract-violation error — never an index
+// panic, even for ids outside the job.
 func TestRogueFlexPolicyRejected(t *testing.T) {
 	b := NewBuilder(2)
 	b.AddTask([]int64{1, NoWork})
 	j := b.MustBuild()
-	// Returns the task on a pool it is not admissible on.
-	bad := policyFunc{name: "rogue", pick: func(st *State, a dag.Type) (dag.TaskID, bool) {
-		if a == 1 && len(st.Ready()) > 0 {
-			return st.Ready()[0], true
+	for _, tc := range []struct {
+		name string
+		pool dag.Type
+		pick dag.TaskID
+	}{
+		{"task on a pool it is not admissible on", 1, 0},
+		{"out-of-range task", 0, 9999},
+		{"NoTask", 0, dag.NoTask},
+	} {
+		rogue := policyFunc{name: "rogue", pick: func(_ *State, a dag.Type) (dag.TaskID, bool) {
+			return tc.pick, a == tc.pool
+		}}
+		_, err := Run(j, rogue, []int{1, 1})
+		if want := fmt.Sprintf("not ready/admissible on pool %d", tc.pool); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: want contract violation error, got %v", tc.name, err)
 		}
-		return dag.NoTask, false
-	}}
-	if _, err := Run(j, bad, []int{1, 1}); err == nil {
-		t.Error("expected admissibility error")
 	}
 }
 

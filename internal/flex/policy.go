@@ -1,8 +1,6 @@
 package flex
 
 import (
-	"sort"
-
 	"fhs/internal/dag"
 	"fhs/internal/metrics"
 )
@@ -124,6 +122,7 @@ func (b *Balance) Pick(st *State, alpha dag.Type) (dag.TaskID, bool) {
 	k := j.K()
 	best := dag.NoTask
 	bestNative := false
+	var bestVec []float64 // b.best once a candidate holds it
 	for _, id := range st.Ready() {
 		t := j.Task(id)
 		if !t.Allowed(alpha) {
@@ -150,11 +149,15 @@ func (b *Balance) Pick(st *State, alpha dag.Type) (dag.TaskID, bool) {
 			}
 			b.cand[a] = work / float64(st.Procs(dag.Type(a)))
 		}
-		sort.Float64s(b.cand)
-		if best == dag.NoTask || (native && !bestNative) || (native == bestNative && metrics.LexLess(b.best, b.cand)) {
+		incumbent := bestVec
+		if native && !bestNative {
+			incumbent = nil // a native candidate displaces a foreign incumbent outright
+		}
+		if metrics.SortBeats(b.cand, incumbent) {
 			best = id
 			bestNative = native
 			b.best, b.cand = b.cand, b.best
+			bestVec = b.best
 		}
 	}
 	return best, best != dag.NoTask

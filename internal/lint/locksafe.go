@@ -56,9 +56,6 @@ var locksafeScope = []string{
 	"fhs/internal/obs",
 	"fhs/internal/multi",
 	"fhs/internal/crashpoint",
-	// The sharded engine synchronizes exclusively through channel
-	// round-trips; any mutex or atomic that creeps in deserves a look.
-	"fhs/internal/shard",
 }
 
 func locksafeApplies(pkgPath string) bool {

@@ -29,10 +29,9 @@ type RunConfig struct {
 	// Scheduler names the registered picker; empty selects MQB. In
 	// HTTP mode it must mirror the served scheduler.
 	Scheduler string
-	// Workers parallelizes work that can never change outcomes: the
-	// in-process core's candidate scoring, and the HTTP client's
-	// request-body encoding pipeline. Reports are bit-identical for
-	// every value; <= 1 runs sequentially.
+	// Workers parallelizes the HTTP client's request-body encoding
+	// pipeline, which can never change outcomes: reports are
+	// bit-identical for every value; <= 1 encodes sequentially.
 	Workers int
 	// DefaultQuota, Quotas, NoFairShare and MaxBacklogTasks mirror
 	// service.Config (in-process mode) or the served configuration
@@ -171,7 +170,6 @@ func driveCore(cfg RunConfig, ops []service.Op) (*outcome, error) {
 		DefaultQuota:    cfg.DefaultQuota,
 		Quotas:          cfg.Quotas,
 		NoFairShare:     cfg.NoFairShare,
-		Workers:         cfg.Workers,
 		MaxBacklogTasks: cfg.MaxBacklogTasks,
 		Faults:          cfg.Faults,
 		Metrics:         obs.NewRegistry(),
@@ -253,7 +251,7 @@ func driveHTTP(cfg RunConfig, ops []service.Op) (*outcome, error) {
 	// Resolve the canonical scheduler name through the same registry
 	// the server used, so an in-process and an HTTP report of the same
 	// workload can never disagree on casing.
-	picker, err := service.NewPicker(cfg.Scheduler, 1)
+	picker, err := service.NewPicker(cfg.Scheduler)
 	if err != nil {
 		return nil, err
 	}

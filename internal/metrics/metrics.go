@@ -138,6 +138,59 @@ func LexLess(a, b []float64) bool {
 	return false
 }
 
+// SortBeats is the balance kernel every MQB-style policy shares. It
+// reports whether the balance vector cand, once sorted ascending,
+// beats the incumbent best (already sorted) in the lexicographic rule:
+// exactly LexLess(best, sorted(cand)). An empty best means there is no
+// incumbent yet, so cand always wins.
+//
+// SortBeats selection-sorts cand in place one position at a time and
+// exits as soon as a position decides the comparison, so a candidate
+// losing on the smallest x-utilization — the common case — costs one
+// min-scan instead of a full K-sort. When it returns true, cand is
+// fully sorted and ready to adopt as the new incumbent; when false,
+// cand's tail past the deciding position is unspecified (losing
+// vectors are discarded). Equal vectors return false: ties keep the
+// earlier incumbent. cand must not contain NaN.
+func SortBeats(cand, best []float64) bool {
+	if len(best) == 0 {
+		selectionSort(cand)
+		return true
+	}
+	for i := range cand {
+		min := i
+		for j := i + 1; j < len(cand); j++ {
+			if cand[j] < cand[min] {
+				min = j
+			}
+		}
+		cand[i], cand[min] = cand[min], cand[i]
+		if cand[i] != best[i] {
+			if cand[i] < best[i] {
+				return false
+			}
+			selectionSort(cand[i+1:])
+			return true
+		}
+	}
+	return false
+}
+
+// selectionSort sorts ascending in place. The balance vectors have
+// K ≤ 6 entries in every paper workload, where this beats the stdlib
+// sort's dispatch overhead on the engines' hottest loop.
+func selectionSort(v []float64) {
+	for i := range v {
+		min := i
+		for j := i + 1; j < len(v); j++ {
+			if v[j] < v[min] {
+				min = j
+			}
+		}
+		v[i], v[min] = v[min], v[i]
+	}
+}
+
 // Summary accumulates streaming statistics over float64 observations
 // using Welford's algorithm, so experiment workers can aggregate
 // without retaining samples.

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -127,4 +128,59 @@ func TestLexLessStrictWeakOrder(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestSortBeatsMatchesLexLess: property check of the early-exit balance
+// kernel against its specification — sort both vectors fully, compare
+// with LexLess — over random vectors including ties, duplicates and
+// ±Inf (a fully crashed pool scores +Inf).
+func TestSortBeatsMatchesLexLess(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	draw := func() float64 {
+		// Coarse values force frequent ties.
+		switch rng.Intn(16) {
+		case 0:
+			return math.Inf(1)
+		case 1:
+			return math.Inf(-1)
+		}
+		return float64(rng.Intn(4))
+	}
+	for trial := 0; trial < 20000; trial++ {
+		k := 1 + rng.Intn(6)
+		cand := make([]float64, k)
+		best := make([]float64, k)
+		for i := 0; i < k; i++ {
+			cand[i], best[i] = draw(), draw()
+		}
+		sort.Float64s(best)
+		sorted := append([]float64(nil), cand...)
+		sort.Float64s(sorted)
+		want := LexLess(best, sorted)
+
+		got := SortBeats(cand, best)
+		if got != want {
+			t.Fatalf("SortBeats(%v, %v) = %v, want %v", sorted, best, got, want)
+		}
+		if got && !equalVecs(cand, sorted) {
+			// Winning vectors become the next incumbent.
+			t.Fatalf("winning cand not sorted: %v want %v", cand, sorted)
+		}
+
+		// With no incumbent every candidate wins, fully sorted.
+		cand = append(cand[:0], sorted...)
+		rng.Shuffle(len(cand), func(i, j int) { cand[i], cand[j] = cand[j], cand[i] })
+		if !SortBeats(cand, nil) || !equalVecs(cand, sorted) {
+			t.Fatalf("SortBeats(_, nil) left %v, want true and %v", cand, sorted)
+		}
+	}
+}
+
+func equalVecs(a, b []float64) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -208,10 +208,12 @@ func RunObserved(s *Stream, p Policy, procs []int, ob Obs) (Result, error) {
 				if !ok {
 					break
 				}
-				g := s.Job(ref.Job).Graph
-				if g.Task(ref.Task).Type != alpha || !st.dequeue(alpha, ref) {
+				// Queue membership is checked before ref indexes anything, so
+				// a rogue policy's out-of-range pick is an error, not a panic.
+				if !st.dequeue(alpha, ref) {
 					return res, fmt.Errorf("multi: policy %s picked job %d task %d which is not ready on pool %d", p.Name(), ref.Job, ref.Task, a)
 				}
+				g := s.Job(ref.Job).Graph
 				idle[a]--
 				if tr.Enabled() {
 					tr.Emit(obs.JobTaskEv(obs.KindStart, st.now, int64(ref.Job), int64(ref.Task), int64(alpha)))

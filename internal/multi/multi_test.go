@@ -2,6 +2,7 @@ package multi
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -203,6 +204,42 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(s, NewGlobalGreedy(), []int{1, 0}); err == nil {
 		t.Error("accepted zero pool")
+	}
+}
+
+// fixedPolicy answers every Pick with the same reference, ready or
+// not: a caller-supplied policy that breaks the Pick contract.
+type fixedPolicy TaskRef
+
+func (fixedPolicy) Name() string                 { return "fixed" }
+func (fixedPolicy) Prepare(*Stream, []int) error { return nil }
+func (f fixedPolicy) Pick(*State, dag.Type) (TaskRef, bool) {
+	return TaskRef(f), true
+}
+
+// TestRoguePolicyRejected: the engine turns a pick that is not ready
+// on the asking pool into the contract-violation error — never an
+// index panic, even for references outside the stream.
+func TestRoguePolicyRejected(t *testing.T) {
+	// Two single-task jobs released together: job 0 on pool 0, job 1
+	// on pool 1.
+	s, err := NewStream([]JobSpec{{Graph: unitChain(t, 2, 0)}, {Graph: unitChain(t, 2, 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		pick TaskRef
+	}{
+		{"out-of-range job", TaskRef{Job: 99}},
+		{"out-of-range task", TaskRef{Job: 0, Task: 9999}},
+		{"NoTask", TaskRef{Job: 0, Task: dag.NoTask}},
+		{"task on the wrong pool", TaskRef{Job: 1, Task: 0}}, // pool 0 asks first
+	} {
+		_, err := Run(s, fixedPolicy(tc.pick), []int{1, 1})
+		if err == nil || !strings.Contains(err.Error(), "not ready on pool 0") {
+			t.Errorf("%s: want contract violation error, got %v", tc.name, err)
+		}
 	}
 }
 

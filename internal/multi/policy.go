@@ -1,8 +1,6 @@
 package multi
 
 import (
-	"sort"
-
 	"fhs/internal/dag"
 	"fhs/internal/metrics"
 )
@@ -139,6 +137,7 @@ func (b *BalancedMQB) Pick(st *State, alpha dag.Type) (TaskRef, bool) {
 	}
 	k := st.Stream().K()
 	best := TaskRef{Job: -1}
+	var bestVec []float64 // b.best once a candidate holds it
 	for _, ref := range q {
 		g := st.Stream().Job(ref.Job).Graph
 		row := b.desc[ref.Job][ref.Task]
@@ -149,10 +148,10 @@ func (b *BalancedMQB) Pick(st *State, alpha dag.Type) (TaskRef, bool) {
 			}
 			b.cand[a] = work / float64(st.Procs(dag.Type(a)))
 		}
-		sort.Float64s(b.cand)
-		if best.Job < 0 || metrics.LexLess(b.best, b.cand) {
+		if metrics.SortBeats(b.cand, bestVec) {
 			best = ref
 			b.best, b.cand = b.cand, b.best
+			bestVec = b.best
 		}
 	}
 	return best, true

@@ -103,7 +103,7 @@ func runNonPreemptive(g *dag.Graph, s Scheduler, cfg *Config) (Result, error) {
 				if !ok {
 					break
 				}
-				if g.Task(id).Type != alpha || !st.dequeue(id) {
+				if !st.dequeue(alpha, id) {
 					return res, fmt.Errorf("sim: scheduler %s picked task %d which is not ready on pool %d", s.Name(), id, a)
 				}
 				runBusy[a]++
@@ -279,7 +279,7 @@ func runPreemptive(g *dag.Graph, s Scheduler, cfg *Config) (Result, error) {
 				if !ok {
 					break
 				}
-				if g.Task(id).Type != alpha || !st.dequeue(id) {
+				if !st.dequeue(alpha, id) {
 					return res, fmt.Errorf("sim: scheduler %s picked task %d which is not ready on pool %d", s.Name(), id, a)
 				}
 				res.Decisions++

@@ -219,6 +219,42 @@ func TestRogueSchedulerRejected(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "not ready") {
 		t.Errorf("want contract violation error, got %v", err)
 	}
+
+	// Picks that name no ready task of the asking pool are the same
+	// error in both engines — never an index panic, even for ids
+	// outside the graph. Two independent roots: task 0 on pool 0,
+	// task 1 on pool 1.
+	b := dag.NewBuilder(2)
+	b.AddTask(0, 1)
+	b.AddTask(1, 1)
+	g, err = b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		pick dag.TaskID
+	}{
+		{"out-of-range task", 9999},
+		{"NoTask", dag.NoTask},
+		{"task on the wrong pool", 1}, // pool 0 asks first
+	} {
+		for _, preemptive := range []bool{false, true} {
+			_, err := Run(g, fixedPick(tc.pick), Config{Procs: []int{1, 1}, Preemptive: preemptive})
+			if err == nil || !strings.Contains(err.Error(), "not ready on pool 0") {
+				t.Errorf("%s (preemptive=%v): want contract violation error, got %v", tc.name, preemptive, err)
+			}
+		}
+	}
+}
+
+// fixedPick answers every Pick with the same id, ready or not.
+type fixedPick dag.TaskID
+
+func (fixedPick) Name() string                     { return "fixed" }
+func (fixedPick) Prepare(*dag.Graph, Config) error { return nil }
+func (f fixedPick) Pick(*State, dag.Type) (dag.TaskID, bool) {
+	return dag.TaskID(f), true
 }
 
 func TestMaxTimeAborts(t *testing.T) {

@@ -122,10 +122,12 @@ func (st *State) enqueue(id dag.TaskID) {
 	st.queueWork[alpha] += st.remaining[id]
 }
 
-// dequeue removes a specific ready task, returning false if the task
-// is not in the queue for its type (a scheduler contract violation).
-func (st *State) dequeue(id dag.TaskID) bool {
-	alpha := st.g.Task(id).Type
+// dequeue removes a specific task from alpha's ready queue, returning
+// false if it is not queued there (a scheduler contract violation).
+// Membership is checked before id is used as an index, so any id a
+// scheduler returns — out of range, NoTask, or a task of another type
+// — is safe to pass.
+func (st *State) dequeue(alpha dag.Type, id dag.TaskID) bool {
 	q := st.queues[alpha]
 	for i, qid := range q {
 		if qid == id {
