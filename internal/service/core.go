@@ -1,7 +1,10 @@
 package service
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"fhs/internal/dag"
@@ -69,10 +72,70 @@ type tenant struct {
 	mDelay, mFlow                                       *obs.Histogram
 }
 
-// entry is one ready task in a typed queue.
+// entry is one ready task; seq is its enqueue sequence number, the
+// readiness order across the classes of a pool.
 type entry struct {
 	j    *job
 	task dag.TaskID
+	seq  int64
+}
+
+// class is a FIFO of interchangeable ready tasks in one pool: same
+// priority, tenant, task work and typed descendant row (compared bit
+// for bit). The admission stages filter on priority and tenant, and
+// MQB's profile depends only on work and row, so every member is
+// filtered and scored exactly like the head.
+type class struct {
+	priority int
+	tenant   *tenant
+	work     int64
+	desc     []float64
+	q        []entry // q[h:] are queued, q[h] is the head
+	h        int
+}
+
+// holds reports whether a task of job j with this work and row
+// belongs to the class.
+func (cl *class) holds(j *job, work int64, desc []float64) bool {
+	if cl.work != work || cl.priority != j.priority || cl.tenant != j.tenant {
+		return false
+	}
+	for a, v := range desc {
+		if math.Float64bits(v) != math.Float64bits(cl.desc[a]) {
+			return false
+		}
+	}
+	return true
+}
+
+// size returns the number of queued tasks.
+func (cl *class) size() int { return len(cl.q) - cl.h }
+
+// head returns the enqueue sequence number of the class's oldest task.
+func (cl *class) head() int64 { return cl.q[cl.h].seq }
+
+// push appends a task. When the buffer is full and at least half of it
+// is popped slots, the queued tasks slide to the front instead, so the
+// buffer grows only while more than half of it holds queued tasks.
+func (cl *class) push(e entry) {
+	if len(cl.q) == cap(cl.q) && cl.h > 0 && 2*cl.h >= len(cl.q) {
+		n := copy(cl.q, cl.q[cl.h:])
+		clear(cl.q[n:])
+		cl.q, cl.h = cl.q[:n], 0
+	}
+	cl.q = append(cl.q, e)
+}
+
+// pop removes and returns the head. An emptied class keeps its whole
+// buffer, so reusing it from the free list allocates nothing.
+func (cl *class) pop() entry {
+	e := cl.q[cl.h]
+	cl.q[cl.h] = entry{}
+	cl.h++
+	if cl.h == len(cl.q) {
+		cl.q, cl.h = cl.q[:0], 0
+	}
+	return e
 }
 
 // runTask is one placement on a processor, ordered by (finish,
@@ -147,10 +210,13 @@ type Core struct {
 	k      int
 	now    int64
 
-	busy   []int // placements per pool
-	cap    []int // live capacity per pool (the fault timeline's Pα(t))
-	queues [][]entry
+	busy   []int      // placements per pool
+	cap    []int      // live capacity per pool (the fault timeline's Pα(t))
+	queues [][]*class // per pool, ordered by head sequence number
+	qlen   []int      // queued tasks per pool
 	qwork  []int64
+	seq    int64    // next enqueue sequence number
+	free   []*class // emptied classes, reused by enqueue
 	run    sim.Heap[runTask]
 	view   View
 
@@ -165,7 +231,7 @@ type Core struct {
 	mets      coreMetrics
 
 	cands    []Cand // pick scratch
-	candIdxs []int
+	candIdxs []int  // class index of each cand
 }
 
 // New builds a core over the configured machine.
@@ -184,7 +250,8 @@ func New(cfg Config) (*Core, error) {
 		k:       k,
 		busy:    make([]int, k),
 		cap:     append([]int(nil), cfg.Procs...),
-		queues:  make([][]entry, k),
+		queues:  make([][]*class, k),
+		qlen:    make([]int, k),
 		qwork:   make([]int64, k),
 		jobs:    make(map[string]*job),
 		tenants: make(map[string]*tenant),
@@ -327,8 +394,8 @@ func (c *Core) Submit(req SubmitRequest) (JobStatus, error) {
 // admission bound is enforced against.
 func (c *Core) backlog() int {
 	n := len(c.run)
-	for a := 0; a < c.k; a++ {
-		n += len(c.queues[a])
+	for _, l := range c.qlen {
+		n += l
 	}
 	return n
 }
@@ -378,16 +445,31 @@ func (c *Core) retire(j *job, state JobState) {
 		c.cfg.Obs.Emit(obs.CancelEv(c.now, j.idx))
 	}
 	for a := 0; a < c.k; a++ {
-		q := c.queues[a][:0]
-		for _, e := range c.queues[a] {
-			if e.j == j {
-				c.qwork[a] -= e.j.graph.Task(e.task).Work
-				j.tenant.load--
+		cls := c.queues[a][:0]
+		for _, cl := range c.queues[a] {
+			q := cl.q[:0]
+			for _, e := range cl.q[cl.h:] {
+				if e.j == j {
+					c.qwork[a] -= cl.work
+					c.qlen[a]--
+					j.tenant.load--
+					continue
+				}
+				q = append(q, e)
+			}
+			clear(cl.q[len(q):])
+			cl.q, cl.h = q, 0
+			if len(q) == 0 {
+				c.free = append(c.free, cl)
 				continue
 			}
-			q = append(q, e)
+			cls = append(cls, cl)
 		}
-		c.queues[a] = q
+		clear(c.queues[a][len(cls):])
+		c.queues[a] = cls
+		slices.SortFunc(cls, func(x, y *class) int {
+			return cmp.Compare(x.head(), y.head())
+		})
 	}
 	j.state = state
 	j.completed = c.now
@@ -583,8 +665,8 @@ func (c *Core) Idle() bool {
 	if len(c.run) > 0 {
 		return false
 	}
-	for a := 0; a < c.k; a++ {
-		if len(c.queues[a]) > 0 {
+	for _, l := range c.qlen {
+		if l > 0 {
 			return false
 		}
 	}
@@ -628,11 +710,34 @@ func (c *Core) complete(rt runTask) {
 	}
 }
 
+// enqueue appends a ready task to its class in its pool, opening a
+// new class at the end of the pool's order when none matches. The
+// linear match keeps enqueue allocation-free once the pool's classes
+// and the free list have warmed up.
 func (c *Core) enqueue(j *job, task dag.TaskID) {
-	alpha := j.graph.Task(task).Type
-	c.queues[alpha] = append(c.queues[alpha], entry{j: j, task: task})
-	c.qwork[alpha] += j.graph.Task(task).Work
+	t := j.graph.Task(task)
+	alpha, desc := t.Type, j.desc[task]
+	e := entry{j: j, task: task, seq: c.seq}
+	c.seq++
+	c.qlen[alpha]++
+	c.qwork[alpha] += t.Work
 	j.tenant.load++
+	for _, cl := range c.queues[alpha] {
+		if cl.holds(j, t.Work, desc) {
+			cl.push(e)
+			return
+		}
+	}
+	var cl *class
+	if n := len(c.free); n > 0 {
+		cl = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		cl = &class{}
+	}
+	cl.priority, cl.tenant, cl.work, cl.desc = j.priority, j.tenant, t.Work, desc
+	cl.push(e)
+	c.queues[alpha] = append(c.queues[alpha], cl)
 }
 
 // assign fills idle processors pool by pool. Each placement re-derives
@@ -642,34 +747,38 @@ func (c *Core) enqueue(j *job, task dag.TaskID) {
 func (c *Core) assign() {
 	for a := 0; a < c.k; a++ {
 		alpha := dag.Type(a)
-		for c.busy[a] < c.cap[a] && len(c.queues[a]) > 0 {
-			cands, idxs := c.candidates(alpha)
+		for c.busy[a] < c.cap[a] && c.qlen[a] > 0 {
+			cands, idxs, n := c.candidates(alpha)
 			i, score := c.picker.Pick(&c.view, alpha, cands)
-			c.place(alpha, idxs[i], len(cands), score)
+			c.place(alpha, idxs[i], n, score)
 		}
 	}
 }
 
-// candidates filters pool alpha's queue to the picker-visible set:
-// the maximum priority class first, then — unless fair share is off —
-// the tenant with minimal virtual service within that class (ties to
-// the lexicographically smallest name). Returns the candidates in
-// queue order plus their queue positions.
-func (c *Core) candidates(alpha dag.Type) ([]Cand, []int) {
-	q := c.queues[alpha]
-	maxPrio := q[0].j.priority
-	for _, e := range q[1:] {
-		if e.j.priority > maxPrio {
-			maxPrio = e.j.priority
+// candidates filters pool alpha's classes to the picker-visible set:
+// the maximum priority first, then — unless fair share is off — the
+// tenant with minimal virtual service at that priority (ties to the
+// lexicographically smallest name). It offers one candidate per
+// surviving class, its head, in head order, plus the class positions
+// and the number of queued tasks the filter let through. Every member
+// of a class scores like its head and pickers keep the earlier of
+// tied candidates, so only a head can win, and the oldest surviving
+// head is the oldest eligible task.
+func (c *Core) candidates(alpha dag.Type) ([]Cand, []int, int) {
+	cls := c.queues[alpha]
+	maxPrio := cls[0].priority
+	for _, cl := range cls[1:] {
+		if cl.priority > maxPrio {
+			maxPrio = cl.priority
 		}
 	}
 	var fair *tenant
 	if !c.cfg.NoFairShare {
-		for _, e := range q {
-			if e.j.priority != maxPrio {
+		for _, cl := range cls {
+			if cl.priority != maxPrio {
 				continue
 			}
-			t := e.j.tenant
+			t := cl.tenant
 			if fair == nil || t.service < fair.service ||
 				(t.service == fair.service && t.name < fair.name) {
 				fair = t
@@ -678,29 +787,45 @@ func (c *Core) candidates(alpha dag.Type) ([]Cand, []int) {
 	}
 	c.cands = c.cands[:0]
 	c.candIdxs = c.candIdxs[:0]
-	for qi, e := range q {
-		if e.j.priority != maxPrio || (fair != nil && e.j.tenant != fair) {
+	n := 0
+	for ci, cl := range cls {
+		if cl.priority != maxPrio || (fair != nil && cl.tenant != fair) {
 			continue
 		}
+		e := cl.q[cl.h]
 		c.cands = append(c.cands, Cand{
 			JobIdx: e.j.idx,
 			Task:   e.task,
-			Work:   e.j.graph.Task(e.task).Work,
-			Desc:   e.j.desc[e.task],
+			Work:   cl.work,
+			Desc:   cl.desc,
 		})
-		c.candIdxs = append(c.candIdxs, qi)
+		c.candIdxs = append(c.candIdxs, ci)
+		n += cl.size()
 	}
-	return c.cands, c.candIdxs
+	return c.cands, c.candIdxs, n
 }
 
-// place starts queue entry qi of pool alpha on a processor.
-func (c *Core) place(alpha dag.Type, qi, nCands int, score float64) {
-	q := c.queues[alpha]
-	e := q[qi]
-	copy(q[qi:], q[qi+1:])
-	c.queues[alpha] = q[:len(q)-1]
+// place starts the head of class ci of pool alpha on a processor, then
+// moves the class to its new head's position in the pool's order (or
+// frees it when it empties). nCands is the number of eligible queued
+// tasks the pick chose among.
+func (c *Core) place(alpha dag.Type, ci, nCands int, score float64) {
+	cls := c.queues[alpha]
+	cl := cls[ci]
+	e, work := cl.pop(), cl.work
+	if cl.size() == 0 {
+		copy(cls[ci:], cls[ci+1:])
+		cls[len(cls)-1] = nil
+		c.queues[alpha] = cls[:len(cls)-1]
+		c.free = append(c.free, cl)
+	} else {
+		rest := cls[ci+1:]
+		to := sort.Search(len(rest), func(i int) bool { return rest[i].head() > cl.head() })
+		copy(cls[ci:], rest[:to])
+		cls[ci+to] = cl
+	}
+	c.qlen[alpha]--
 	j := e.j
-	work := j.graph.Task(e.task).Work
 	c.qwork[alpha] -= work
 	c.busy[alpha]++
 	j.running++
@@ -740,7 +865,7 @@ func (c *Core) sample() {
 		return
 	}
 	for a := 0; a < c.k; a++ {
-		c.cfg.Obs.Emit(obs.TypeEv(obs.KindQueueDepth, c.now, int64(a), int64(len(c.queues[a])), 0))
+		c.cfg.Obs.Emit(obs.TypeEv(obs.KindQueueDepth, c.now, int64(a), int64(c.qlen[a]), 0))
 		// X-utilization is measured against the live capacity; a fully
 		// crashed pool has no utilization to sample.
 		if c.cap[a] > 0 {

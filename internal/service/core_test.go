@@ -2,8 +2,10 @@ package service
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
+	"fhs/internal/dag"
 	"fhs/internal/obs"
 	"fhs/internal/verify"
 )
@@ -309,5 +311,52 @@ func TestSpecErrors(t *testing.T) {
 	}
 	if len(c.Records()) != 0 {
 		t.Errorf("%d jobs admitted from bad requests", len(c.Records()))
+	}
+}
+
+// countingPicker wraps a picker and counts the candidates it is
+// offered.
+type countingPicker struct {
+	Picker
+	picks, offered int
+}
+
+func (p *countingPicker) Pick(v *View, alpha dag.Type, cands []Cand) (int, float64) {
+	p.picks++
+	p.offered += len(cands)
+	return p.Picker.Pick(v, alpha, cands)
+}
+
+// TestPickCostIndependentOfBacklog replays a trace whose pool queues
+// run hundreds of tasks deep and checks that the picker sees class
+// heads, not queued tasks: the candidates it is offered must sum to at
+// most a fifth of the eligible tasks the decision events record.
+func TestPickCostIndependentOfBacklog(t *testing.T) {
+	ops, err := GenerateTrace(GenConfig{Jobs: 350, MeanGap: 2, K: 4, SeedBase: 64},
+		rand.New(rand.NewSource(64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTestCore(t, func(cfg *Config) { cfg.Procs = []int{4, 4, 4, 4} })
+	cp := &countingPicker{Picker: c.picker}
+	c.picker = cp
+	for i := range ops {
+		applyOp(t, c, &ops[i])
+	}
+	c.Drain()
+	eligible, decisions := 0, 0
+	for _, ev := range c.cfg.Obs.Events() {
+		if ev.Kind == obs.KindDecision {
+			eligible += int(ev.Arg)
+			decisions++
+		}
+	}
+	if decisions == 0 {
+		t.Fatal("no contested picks; the trace never built a backlog")
+	}
+	t.Logf("%d picks offered %.1f candidates on average; %d decisions saw %.1f eligible tasks on average",
+		cp.picks, float64(cp.offered)/float64(cp.picks), decisions, float64(eligible)/float64(decisions))
+	if 5*cp.offered > eligible {
+		t.Fatalf("picker offered %d candidates for %d eligible tasks; want at most a fifth", cp.offered, eligible)
 	}
 }

@@ -9,10 +9,12 @@ import (
 )
 
 // Cand is one ready task offered to a picker, after the admission
-// stages (priority class, fair share) have filtered the queue. Cands
-// arrive in queue (readiness) order; JobIdx is the owning job's
-// admission index. Desc is the task's typed descendant row, shared
-// with the job's graph — read-only.
+// stages (priority class, fair share) have filtered the queue. The
+// core queues interchangeable tasks (same priority, tenant, work and
+// descendant row) in FIFO classes and offers only each class's head,
+// so Cands arrive in readiness order of the class heads; JobIdx is
+// the owning job's admission index. Desc is the task's typed
+// descendant row, shared with the job's graph — read-only.
 type Cand struct {
 	JobIdx int64
 	Task   dag.TaskID
@@ -30,8 +32,11 @@ type View struct {
 // Picker chooses which candidate a freed α-processor runs. Pick
 // returns an index into cands plus the pick's score for the decision
 // trace (0 when the policy has no meaningful score). cands is never
-// empty. Pick must be deterministic: same view and candidates, same
-// index.
+// empty, and it holds class heads in readiness order: a policy must
+// score a task by its priority, tenant, work and descendant row only,
+// and keep the earlier candidate on ties, for the pick to equal one
+// over every queued task. Pick must be deterministic: same view and
+// candidates, same index.
 type Picker interface {
 	Name() string
 	Pick(v *View, alpha dag.Type, cands []Cand) (int, float64)
@@ -75,9 +80,6 @@ func (*MQB) Name() string { return "MQB" }
 
 // Pick implements Picker.
 func (m *MQB) Pick(v *View, alpha dag.Type, cands []Cand) (int, float64) {
-	if len(cands) == 1 {
-		return 0, 0
-	}
 	k := len(v.Procs)
 	if cap(m.cand) < k {
 		m.cand = make([]float64, k)
